@@ -103,19 +103,29 @@ func run(o options) (*result, error) {
 	if w := waitQuiet(); w > 2*time.Second {
 		fmt.Fprintf(os.Stderr, "perfbench: waited %.1f s for the hypervisor to stop stealing CPU time\n", w.Seconds())
 	}
+	// Set-ups shorter than setupBatch are timed in batches (closing
+	// the previous set-up is part of the batch; it is free for those
+	// workloads), because single microsecond-scale samples on a shared
+	// machine scatter by a factor of two.
 	var b bench
 	var setups []float64
 	for start := time.Now(); len(setups) < minSetups || time.Since(start) < minSetupTime; {
 		if b != nil {
 			b.close()
 		}
-		runtime.GC() // every set-up starts from a collected heap
+		runtime.GC() // every batch starts from a collected heap
 		t0 := time.Now()
-		var err error
-		if b, err = setup(o); err != nil {
-			return nil, fmt.Errorf("setup: %w", err)
+		n := 0
+		for ; n == 0 || time.Since(t0) < setupBatch; n++ {
+			if n > 0 {
+				b.close()
+			}
+			var err error
+			if b, err = setup(o); err != nil {
+				return nil, fmt.Errorf("setup: %w", err)
+			}
 		}
-		setups = append(setups, time.Since(t0).Seconds())
+		setups = append(setups, time.Since(t0).Seconds()/float64(n))
 	}
 	defer b.close()
 
@@ -181,10 +191,11 @@ func run(o options) (*result, error) {
 }
 
 // Set-up is repeated until both limits are met, so setup_s is a median
-// of several builds rather than one noisy sample.
+// of several batches rather than one noisy sample.
 const (
 	minSetups    = 5
 	minSetupTime = 500 * time.Millisecond
+	setupBatch   = 50 * time.Millisecond
 )
 
 // bench is one set-up workload.
