@@ -160,6 +160,9 @@ func (b *campaignBench) layers(t *tally, tr *tracer, out map[string]metric) erro
 	}
 	genomes := 0
 	for _, cr := range b.last.Cells {
+		if cr.Result == nil {
+			continue // a failed cell, already counted by the pass
+		}
 		in := b.insts[instKey(cr.Cell.Backend, cr.Cell.Workload, cr.Cell.NW)]
 		seen := map[string]bool{}
 		for _, front := range [][]core.Solution{cr.Result.FrontTimeEnergy, cr.Result.FrontTimeBER} {
