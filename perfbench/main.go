@@ -96,38 +96,37 @@ func fatalf(format string, args ...any) {
 // traced pass's inputs layer by layer and reports the per-layer
 // metrics.
 func run(o options) (*result, error) {
-	setup, ok := workloads[o.workload]
+	newBench, ok := workloads[o.workload]
 	if !ok {
 		return nil, fmt.Errorf("unknown workload %q (have %v)", o.workload, workloadNames())
 	}
+	b, err := newBench(o)
+	if err != nil {
+		return nil, fmt.Errorf("inputs: %w", err)
+	}
+	defer b.tearDown()
 	if w := waitQuiet(); w > 2*time.Second {
 		fmt.Fprintf(os.Stderr, "perfbench: waited %.1f s for the hypervisor to stop stealing CPU time\n", w.Seconds())
 	}
-	// Set-ups shorter than setupBatch are timed in batches (closing
-	// the previous set-up is part of the batch; it is free for those
-	// workloads), because single microsecond-scale samples on a shared
-	// machine scatter by a factor of two.
-	var b bench
+	// Each sample is the mean set-up time over a batch of at least
+	// setupBatch, because single microsecond-scale set-ups on a shared
+	// machine scatter by a factor of two. Tearing the previous set-up
+	// down is not timed.
 	var setups []float64
 	for start := time.Now(); len(setups) < minSetups || time.Since(start) < minSetupTime; {
-		if b != nil {
-			b.close()
-		}
 		runtime.GC() // every batch starts from a collected heap
-		t0 := time.Now()
+		var spent time.Duration
 		n := 0
-		for ; n == 0 || time.Since(t0) < setupBatch; n++ {
-			if n > 0 {
-				b.close()
-			}
-			var err error
-			if b, err = setup(o); err != nil {
+		for t0 := time.Now(); n == 0 || time.Since(t0) < setupBatch; n++ {
+			b.tearDown()
+			s0 := time.Now()
+			if err := b.setUp(); err != nil {
 				return nil, fmt.Errorf("setup: %w", err)
 			}
+			spent += time.Since(s0)
 		}
-		setups = append(setups, time.Since(t0).Seconds()/float64(n))
+		setups = append(setups, spent.Seconds()/float64(n))
 	}
-	defer b.close()
 
 	t := &tally{}
 	metrics := map[string]metric{}
@@ -190,26 +189,33 @@ func run(o options) (*result, error) {
 	}, nil
 }
 
-// Set-up is repeated until both limits are met, so setup_s is a median
-// of several batches rather than one noisy sample.
+// Set-up batches repeat until both limits are met, so setup_s is a
+// median of several batches rather than one noisy sample.
 const (
 	minSetups    = 5
 	minSetupTime = 500 * time.Millisecond
 	setupBatch   = 50 * time.Millisecond
 )
 
-// bench is one set-up workload.
+// bench is one workload. Its constructor prepares the benchmark's own
+// inputs and expected outputs, which are not timed.
 type bench interface {
+	// setUp performs the workload's set-up (README.md says what it
+	// is for each workload); the measured passes use the state of the
+	// last call. run times it repeatedly for setup_s.
+	setUp() error
+	// tearDown releases what setUp made; it is safe to call before
+	// setUp and more than once.
+	tearDown()
 	// pass runs the workload's fixed work once and checks its
 	// outputs into t. tr is nil for an untraced pass.
 	pass(t *tally, tr *tracer) error
 	// layers runs the traced run's replays over the inputs the traced
 	// pass used and stores the per-layer metrics.
 	layers(t *tally, tr *tracer, out map[string]metric) error
-	close()
 }
 
-// workloads maps each workload name to its set-up. BENCHMARK.json
+// workloads maps each workload name to its constructor. BENCHMARK.json
 // records why each one is there.
 var workloads = map[string]func(o options) (bench, error){
 	"paper-suite":    newSuite,
