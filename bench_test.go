@@ -1072,20 +1072,19 @@ func BenchmarkAblationCrosstalkSources(b *testing.B) {
 //
 // These measure the waserve daemon's evaluate path end to end over
 // real HTTP (httptest listener, keep-alive connections): concurrent
-// clients POST distinct chromosomes and the batching front coalesces
-// them into worker-pool passes. The request pool cycles through many
-// distinct genomes so the numbers measure evaluation throughput, not
-// the delta cache replaying one hot entry.
+// clients POST distinct chromosomes, each evaluated on its request's
+// goroutine through the instance's evaluator pool. The request pool
+// cycles through many distinct genomes so the numbers measure
+// evaluation throughput, not the delta cache replaying one hot entry.
 
 // serveBenchServer boots a serving daemon for one (workload, nw)
-// combination on the ring backend, batched or not.
-func serveBenchServer(b *testing.B, workload string, nw int, noBatch bool) *httptest.Server {
+// combination on the ring backend.
+func serveBenchServer(b *testing.B, workload string, nw int) *httptest.Server {
 	b.Helper()
 	s, err := serve.NewServer(serve.Config{
 		Backends:  []string{"ring"},
 		Workloads: []string{workload},
 		NWs:       []int{nw},
-		NoBatch:   noBatch,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -1214,35 +1213,8 @@ func serveReportLatency(b *testing.B, lat []time.Duration) {
 func BenchmarkServeEvaluateP50P99(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			ts := serveBenchServer(b, "paper", 8, false)
+			ts := serveBenchServer(b, "paper", 8)
 			bodies := serveBenchBodies(b, "paper", 8, 256)
-			b.ResetTimer()
-			lat := serveBenchDrive(b, ts.URL+"/v1/evaluate", bodies, clients)
-			b.StopTimer()
-			serveReportLatency(b, lat)
-		})
-	}
-}
-
-// BenchmarkServeBatchThroughput compares the batching front against
-// the lock-guarded single-evaluator baseline at 64 concurrent
-// clients on a chunkier workload (gauss8), where evaluation — not
-// HTTP handling — dominates the per-request cost. On a multi-core
-// box the batched server parallelizes exactly that component; CI
-// gates batched >= 1.5x unbatched within the same run (a single-core
-// box is honestly flat, so the committed baseline carries no ratio).
-func BenchmarkServeBatchThroughput(b *testing.B) {
-	const clients = 64
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{
-		{"batched", false},
-		{"unbatched", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			ts := serveBenchServer(b, "gauss8", 8, mode.noBatch)
-			bodies := serveBenchBodies(b, "gauss8", 8, 512)
 			b.ResetTimer()
 			lat := serveBenchDrive(b, ts.URL+"/v1/evaluate", bodies, clients)
 			b.StopTimer()

@@ -5,8 +5,8 @@
 //
 // Endpoints (all under one port):
 //
-//	POST /v1/evaluate   score one chromosome; concurrent requests are
-//	                    coalesced into batched worker-pool passes
+//	POST /v1/evaluate   score one chromosome; at most -queue-depth
+//	                    evaluate at once, further requests get 429
 //	POST /v1/explain    full link-budget report for a valid chromosome
 //	POST /v1/optimize   run (or resume, via the opaque session token)
 //	                    an NSGA-II exploration
@@ -23,14 +23,10 @@
 //	-backends string   comma-separated served backends (default all)
 //	-workloads string  comma-separated served workloads (default "paper")
 //	-nw string         comma-separated served comb sizes (default "4,8")
-//	-batch-window duration  batching flush deadline (default 200µs)
-//	-batch-max int     max coalesced requests per pass (default 64)
-//	-queue-depth int   evaluate queue bound; beyond it requests get
+//	-queue-depth int   evaluations in flight; beyond it requests get
 //	                   429 + Retry-After (default 1024)
-//	-workers int       worker-pool size (default GOMAXPROCS)
-//	-no-batch          serve evaluations through one lock-guarded
-//	                   evaluator instead of the batching front (the
-//	                   benchmark baseline)
+//	-workers int       optimize/campaign evaluation pool size
+//	                   (default GOMAXPROCS)
 //	-campaign-slots int  concurrent campaign sweeps (default 1)
 //	-debug-addr string  if set, serve net/http/pprof on this second
 //	                    address (e.g. "localhost:6060"); off by default
@@ -40,7 +36,7 @@
 // SIGINT/SIGTERM trigger a graceful shutdown: the daemon stops
 // accepting connections, in-flight optimizations stop at the next
 // generation boundary and flush their state into session tokens,
-// queued evaluations finish, and the process exits 0.
+// in-flight evaluations finish, and the process exits 0.
 package main
 
 import (
@@ -60,39 +56,38 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts against slow or idle clients.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr          = flag.String("addr", "localhost:8337", "listen address")
 		backends      = flag.String("backends", "", "comma-separated served optical fabric backends (default all)")
 		workloads     = flag.String("workloads", "paper", "comma-separated served workloads: paper, chain<N>, forkjoin<W>, fft<N>, gauss<N>, diamond<N>")
 		nws           = flag.String("nw", "4,8", "comma-separated served comb sizes")
-		batchWindow   = flag.Duration("batch-window", serve.DefaultBatchWindow, "batching front flush deadline")
-		batchMax      = flag.Int("batch-max", serve.DefaultMaxBatch, "max coalesced evaluate requests per worker-pool pass")
-		queueDepth    = flag.Int("queue-depth", serve.DefaultQueueDepth, "evaluate queue bound (full queue sheds load with 429)")
-		workers       = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-		noBatch       = flag.Bool("no-batch", false, "serve evaluations through one lock-guarded evaluator (benchmark baseline)")
+		queueDepth    = flag.Int("queue-depth", serve.DefaultQueueDepth, "evaluations in flight (beyond it requests get 429)")
+		workers       = flag.Int("workers", 0, "optimize/campaign evaluation pool size (0 = GOMAXPROCS)")
 		campaignSlots = flag.Int("campaign-slots", 1, "concurrent campaign sweeps")
 		debugAddr     = flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = off)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "waserve: ", log.LstdFlags)
-	if err := run(*addr, *backends, *workloads, *nws, *batchWindow, *batchMax, *queueDepth,
-		*workers, *noBatch, *campaignSlots, *debugAddr, logger); err != nil {
+	if err := run(*addr, *backends, *workloads, *nws, *queueDepth, *workers,
+		*campaignSlots, *debugAddr, logger); err != nil {
 		fmt.Fprintf(os.Stderr, "waserve: %v\n", err)
 		os.Exit(cliutil.ExitStatus(err))
 	}
 }
 
-func run(addr, backends, workloads, nws string, batchWindow time.Duration,
-	batchMax, queueDepth, workers int, noBatch bool, campaignSlots int,
+func run(addr, backends, workloads, nws string, queueDepth, workers, campaignSlots int,
 	debugAddr string, logger *log.Logger) error {
 	cfg := serve.Config{
 		Workloads:     cliutil.SplitList(workloads),
-		BatchWindow:   batchWindow,
-		MaxBatch:      batchMax,
 		QueueDepth:    queueDepth,
 		Workers:       workers,
-		NoBatch:       noBatch,
 		CampaignSlots: campaignSlots,
 		Log:           logger,
 	}
@@ -113,7 +108,17 @@ func run(addr, backends, workloads, nws string, batchWindow time.Duration,
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+	defer s.Close()
+	// A client gets readHeaderTimeout to send its request headers and
+	// may hold an idle keep-alive connection for idleTimeout. There is
+	// no whole-request deadline: optimize and campaign responses run
+	// as long as their work.
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// The pprof surface, when requested, gets its own listener and an
 	// explicit mux: the public port never exposes the profiler, and
@@ -150,7 +155,6 @@ func run(addr, backends, workloads, nws string, batchWindow time.Duration,
 	case err := <-errc:
 		// Listener died before any signal — a startup failure, not a
 		// shutdown.
-		s.Close()
 		return err
 	case sig := <-sigc:
 		logger.Printf("received %v, draining", sig)
@@ -158,20 +162,16 @@ func run(addr, backends, workloads, nws string, batchWindow time.Duration,
 
 	// Graceful shutdown: flip draining first so in-flight optimize
 	// loops checkpoint at their next generation boundary, then stop
-	// the listener and wait for handlers (Shutdown), then drain the
-	// batching front.
+	// the listener and wait for handlers (Shutdown).
 	s.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		s.Close()
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	if err := <-errc; err != nil {
-		s.Close()
 		return err
 	}
-	s.Close()
 	logger.Printf("drained, exiting")
 	return nil
 }

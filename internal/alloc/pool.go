@@ -6,9 +6,9 @@ import "sync"
 // instance. It is the reusable form of the pooling idiom that was
 // private to Instance.Evaluate and core.Problem: callers that serve
 // many short-lived evaluation requests (the GA's compatibility path,
-// the waserve batching front) draw a warm evaluator, run it, and put
-// it back, instead of paying NewEvaluator's scratch construction per
-// request.
+// waserve's evaluate and explain handlers) draw a warm evaluator, run
+// it, and put it back, instead of paying NewEvaluator's scratch
+// construction per request.
 //
 // The pool is safe for concurrent use; the evaluators it hands out are
 // not — each Get gives the caller exclusive use until the matching

@@ -1,8 +1,8 @@
 // Package serve is the allocation-as-a-service layer: an HTTP daemon
 // exposing the wavelength-allocation engine over JSON. It serves
-// evaluations (batched), link-budget explanations, resumable GA
-// optimizations and streamed campaign sweeps against a fixed set of
-// shared read-only instances built at startup.
+// evaluations, link-budget explanations, resumable GA optimizations
+// and streamed campaign sweeps against a fixed set of shared
+// read-only instances built at startup.
 //
 // The serving discipline mirrors the repo's artifact discipline:
 // every served number is produced by the same code path the CLI uses,
@@ -13,14 +13,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -38,21 +37,23 @@ const (
 	defaultGens       = 60
 	defaultSeed       = 42
 
-	// DefaultBatchWindow is the flush deadline of the batching front:
-	// how long the collector waits for company after the first queued
-	// request. Roughly 10 kernel evaluations — long enough to coalesce
-	// a concurrent burst, short enough to be invisible next to network
-	// latency.
-	DefaultBatchWindow = 200 * time.Microsecond
-	// DefaultMaxBatch caps one coalesced worker-pool pass.
-	DefaultMaxBatch = 64
-	// DefaultQueueDepth bounds the evaluate queue; beyond it the
-	// daemon sheds load with 429 + Retry-After.
+	// DefaultQueueDepth bounds the evaluations in flight; beyond it
+	// the daemon sheds load with 429 + Retry-After.
 	DefaultQueueDepth = 1024
+
+	// maxRequestBytes bounds an evaluate, explain or campaign request
+	// body; a larger one is answered 413.
+	maxRequestBytes = 1 << 20
+	// maxOptimizeBytes bounds an optimize request body, which may
+	// carry a session token. A token wraps the engine's checkpoint,
+	// whose evaluation cache grows with the run: about 0.7 MB after
+	// the default 80 x 60 optimization at NW 8, about 15 MB after the
+	// paper's 400 x 300.
+	maxOptimizeBytes = 64 << 20
 )
 
-// Config describes the daemon: which instances to build and how to
-// batch.
+// Config describes the daemon: which instances to build and how much
+// work to admit.
 type Config struct {
 	// Backends, Workloads and NWs define the served instance set — the
 	// cross product is built eagerly at startup so a bad combination
@@ -62,19 +63,12 @@ type Config struct {
 	Workloads []string
 	NWs       []int
 
-	// BatchWindow, MaxBatch and QueueDepth tune the batching front
-	// (zero = the defaults above). Workers sizes the per-flush worker
-	// pool and the GA evaluation pool (default GOMAXPROCS).
-	BatchWindow time.Duration
-	MaxBatch    int
-	QueueDepth  int
-	Workers     int
-
-	// NoBatch disables the batching front: one evaluator per instance
-	// behind a mutex — the naive thread-safe server. It exists as the
-	// honest baseline the serving benchmarks and the CI speedup gate
-	// compare against.
-	NoBatch bool
+	// QueueDepth bounds the evaluate requests evaluating at once
+	// (default DefaultQueueDepth); one more is refused with 429.
+	QueueDepth int
+	// Workers sizes the GA evaluation pool of optimize and campaign
+	// requests (default GOMAXPROCS).
+	Workers int
 
 	// CampaignSlots bounds concurrent campaign sweeps (default 1);
 	// further requests get 429.
@@ -91,33 +85,24 @@ type instKey struct {
 	nw       int
 }
 
-// instance is one shared read-only evaluation context plus its
-// serving gear: a delta-enabled evaluator pool for the batched path
-// and a single lock-guarded evaluator for the NoBatch baseline.
+// instance is one shared read-only evaluation context plus a pool of
+// delta-enabled evaluators over it. alloc.Evaluator is not safe for
+// concurrent use, so each request draws its own from the pool.
 type instance struct {
-	key  instKey
 	in   *alloc.Instance
 	pool *alloc.EvaluatorPool
-
-	mu sync.Mutex
-	ev *alloc.Evaluator
 }
 
-// evaluateSerial is the NoBatch path: the whole evaluation serializes
-// on one evaluator.
-func (inst *instance) evaluateSerial(g alloc.Genome, out *alloc.Eval) error {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if inst.ev == nil {
-		ev, err := alloc.NewEvaluator(inst.in)
-		if err != nil {
-			return err
-		}
-		ev.EnableDeltaCache(0)
-		inst.ev = ev
+// evaluate scores g on a pooled evaluator. out is detached before the
+// evaluator goes back to the pool, so the caller owns it outright.
+func (inst *instance) evaluate(g alloc.Genome, out *alloc.Eval) error {
+	ev, err := inst.pool.Get()
+	if err != nil {
+		return err
 	}
-	inst.ev.EvaluateInto(out, g)
+	ev.EvaluateInto(out, g)
 	out.Detach()
+	inst.pool.Put(ev)
 	return nil
 }
 
@@ -126,14 +111,15 @@ type Server struct {
 	cfg       Config
 	instances map[instKey]*instance
 	order     []instKey
-	batch     *batcher
+	// slots is the evaluate admission gate: one token per evaluation
+	// in flight, QueueDepth in all.
+	slots     chan struct{}
 	campaigns chan struct{}
 	draining  atomic.Bool
 	log       *log.Logger
 }
 
-// NewServer builds every served instance eagerly and starts the
-// batching front.
+// NewServer builds every served instance eagerly.
 func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.Backends) == 0 {
 		cfg.Backends = core.Backends()
@@ -143,12 +129,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if len(cfg.NWs) == 0 {
 		cfg.NWs = []int{4, 8}
-	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = DefaultBatchWindow
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -166,6 +146,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		instances: make(map[instKey]*instance),
+		slots:     make(chan struct{}, cfg.QueueDepth),
 		campaigns: make(chan struct{}, cfg.CampaignSlots),
 		log:       logger,
 	}
@@ -181,7 +162,7 @@ func NewServer(cfg Config) (*Server, error) {
 					return nil, fmt.Errorf("serve: instance (%s, %s, NW=%d): %w", wl, backend, nw, err)
 				}
 				key := instKey{backend: backend, workload: wl, nw: nw}
-				s.instances[key] = &instance{key: key, in: in, pool: alloc.NewEvaluatorPool(in, true)}
+				s.instances[key] = &instance{in: in, pool: alloc.NewEvaluatorPool(in, true)}
 				s.order = append(s.order, key)
 			}
 		}
@@ -196,9 +177,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		return a.nw < b.nw
 	})
-	if !cfg.NoBatch {
-		s.batch = newBatcher(cfg.BatchWindow, cfg.MaxBatch, cfg.Workers, cfg.QueueDepth)
-	}
 	return s, nil
 }
 
@@ -216,13 +194,11 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the batching front after finishing every queued job.
-// Call after the HTTP server has stopped accepting requests.
-func (s *Server) Close() {
-	if s.batch != nil {
-		s.batch.close()
-	}
-}
+// Close releases the server. Evaluations run on their request's
+// goroutine, so http.Server.Shutdown already waits for them and there
+// is nothing left to drain: Close is a no-op, kept so callers can pair
+// it with NewServer.
+func (s *Server) Close() {}
 
 // Handler builds the route table.
 func (s *Server) Handler() http.Handler {
@@ -236,13 +212,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeRequest parses one JSON request body strictly; unknown fields
-// are 400s so client typos fail loudly instead of silently defaulting.
-func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+// decodeRequest parses one JSON request body of at most limit bytes
+// strictly; unknown fields are 400s so client typos fail loudly
+// instead of silently defaulting, and a larger body is a 413.
+func decodeRequest(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error()})
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+				Error: fmt.Sprintf("request body exceeds %d bytes", limit),
+			})
+		} else {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error()})
+		}
 		return false
 	}
 	return true
@@ -307,7 +291,7 @@ func (s *Server) lookup(workload, backend string, nw int) (*instance, *ErrorResp
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, maxRequestBytes, &req) {
 		return
 	}
 	if err := resolveEvaluate(&req); err != nil {
@@ -324,45 +308,29 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
+	// The admission gate never blocks: with every slot taken the
+	// request is shed at once. A slot frees within one evaluation,
+	// tens of µs, so the millisecond hint is honest; the header's
+	// resolution is whole seconds.
+	select {
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
+	default:
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "all evaluate slots busy", RetryAfterMS: 1})
+		return
+	}
 	var out alloc.Eval
-	if s.batch == nil {
-		if err := inst.evaluateSerial(g, &out); err != nil {
-			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-			return
-		}
-	} else {
-		job := &evalJob{inst: inst, g: g, out: &out, done: make(chan struct{})}
-		switch err := s.batch.submit(job); err {
-		case nil:
-		case errQueueFull:
-			// The queue drains in batches of MaxBatch every
-			// BatchWindow-ish, so "try again in about a window" is the
-			// honest hint; the header's resolution is whole seconds.
-			retryMS := int(s.cfg.BatchWindow / time.Millisecond)
-			if retryMS < 1 {
-				retryMS = 1
-			}
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-				Error: err.Error(), RetryAfterMS: retryMS,
-			})
-			return
-		default:
-			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
-			return
-		}
-		<-job.done
-		if job.err != nil {
-			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: job.err.Error()})
-			return
-		}
+	if err := inst.evaluate(g, &out); err != nil {
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		return
 	}
 	writeJSON(w, http.StatusOK, buildEvaluateResponse(req.Workload, req.Backend, req.NW, g, &out))
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, maxRequestBytes, &req) {
 		return
 	}
 	if err := resolveEvaluate(&req); err != nil {
@@ -379,17 +347,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	// Explanations are rare and heavyweight next to evaluations, so
-	// they bypass the batcher: grab a pooled evaluator directly.
 	var out alloc.Eval
-	ev, err := inst.pool.Get()
-	if err != nil {
+	if err := inst.evaluate(g, &out); err != nil {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	ev.EvaluateInto(&out, g)
-	out.Detach()
-	inst.pool.Put(ev)
 	if !out.Valid {
 		// Unlike evaluate, explain has nothing to say about an invalid
 		// chromosome: 422 with the evaluator's failure reason.
@@ -478,7 +440,7 @@ func resolveOptimize(req OptimizeRequest) (sessionMeta, error) {
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, maxOptimizeBytes, &req) {
 		return
 	}
 	var meta sessionMeta
@@ -593,7 +555,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	var req CampaignRequest
-	if !decodeRequest(w, r, &req) {
+	if !decodeRequest(w, r, maxRequestBytes, &req) {
 		return
 	}
 	select {

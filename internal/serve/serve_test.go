@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -102,10 +101,10 @@ func TestEvaluateMatchesEvaluateLocal(t *testing.T) {
 	}
 }
 
-// TestConcurrentEvaluateBitIdentical hammers the batching front from
-// many goroutines and checks every response against the serial
-// reference bytes — batching must be invisible in the results. Run
-// with -race in CI.
+// TestConcurrentEvaluateBitIdentical hammers evaluate from many
+// goroutines and checks every response against the serial reference
+// bytes — concurrent requests sharing the evaluator pool must be
+// invisible in the results. Run with -race in CI.
 func TestConcurrentEvaluateBitIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}, Workers: 4})
 	genomes := testGenomes(t)
@@ -143,7 +142,7 @@ func TestConcurrentEvaluateBitIdentical(t *testing.T) {
 					return
 				}
 				if !bytes.Equal(b, want[g]) {
-					errs <- fmt.Errorf("batched response differs for %s:\ngot:  %s\nwant: %s", g, b, want[g])
+					errs <- fmt.Errorf("concurrent response differs for %s:\ngot:  %s\nwant: %s", g, b, want[g])
 					return
 				}
 			}
@@ -156,121 +155,42 @@ func TestConcurrentEvaluateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestNoBatchMatchesBatched pins the two serving modes to each other:
-// the lock-serialized baseline and the batching front must produce the
-// same bytes.
-func TestNoBatchMatchesBatched(t *testing.T) {
-	_, batched := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
-	_, serial := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}, NoBatch: true})
-	for _, g := range testGenomes(t) {
-		req := EvaluateRequest{NW: 8, Genome: g}
-		_, a := post(t, batched.URL+"/v1/evaluate", req)
-		_, b := post(t, serial.URL+"/v1/evaluate", req)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("batched and no-batch responses differ for %s:\nbatched:  %s\nno-batch: %s", g, a, b)
-		}
-	}
-}
-
-// TestBatchFlushDeadline: a lone request must not wait for the batch
-// to fill — the window deadline flushes it.
-func TestBatchFlushDeadline(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Backends: []string{"ring"}, NWs: []int{8},
-		BatchWindow: 5 * time.Millisecond, MaxBatch: 64,
-	})
-	g := testGenomes(t)[0]
-	start := time.Now()
-	code, body := post(t, ts.URL+"/v1/evaluate", EvaluateRequest{NW: 8, Genome: g})
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	// Generous bound: the point is "milliseconds, not forever".
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("lone request took %v; flush deadline is not working", elapsed)
-	}
-}
-
-// TestQueueFullBackpressure fills a tiny queue behind a deliberately
-// blocked batch runner and checks the daemon sheds load with 429 +
-// Retry-After instead of queueing unboundedly.
+// TestQueueFullBackpressure holds every admission slot and checks the
+// daemon sheds load with 429 + Retry-After instead of queueing, then
+// serves normally once a slot frees.
 func TestQueueFullBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
-	// Swap in a hand-built batcher whose run blocks until released;
-	// constructing it here (before any submission) keeps the stub
-	// publication race-free.
-	s.batch.close()
-	unblock := make(chan struct{})
-	b := &batcher{
-		queue:    make(chan *evalJob, 2),
-		window:   time.Hour,
-		maxBatch: 1,
-		workers:  1,
-		drained:  make(chan struct{}),
-	}
-	b.run = func(jobs []*evalJob) {
-		<-unblock
-		for _, j := range jobs {
-			evalOne(j)
-		}
-	}
-	go b.loop()
-	s.batch = b
-	t.Cleanup(func() { b.close() })
-
-	g := testGenomes(t)[0]
-	body, _ := json.Marshal(EvaluateRequest{NW: 8, Genome: g})
-
-	// One request occupies the (blocked) runner, two fill the queue.
-	results := make(chan *http.Response, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
-			if err == nil {
-				resp.Body.Close()
-				results <- resp
-			}
-		}()
-	}
-	// Wait until the queue really is full (collector took one job,
-	// two sit queued) before probing.
-	deadline := time.After(5 * time.Second)
-	for len(b.queue) < 2 {
-		select {
-		case <-deadline:
-			t.Fatalf("queue never filled: %d/2", len(b.queue))
-		case <-time.After(time.Millisecond):
-		}
+	s, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}, QueueDepth: 2})
+	req := EvaluateRequest{NW: 8, Genome: testGenomes(t)[0]}
+	for i := 0; i < cap(s.slots); i++ {
+		s.slots <- struct{}{}
 	}
 
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("probe POST: %v", err)
+		t.Fatalf("POST: %v", err)
 	}
-	probeBody, _ := io.ReadAll(resp.Body)
+	shed, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full queue returned %d, want 429: %s", resp.StatusCode, probeBody)
+		t.Fatalf("full gate returned %d, want 429: %s", resp.StatusCode, shed)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("429 without Retry-After header")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 	var er ErrorResponse
-	if err := json.Unmarshal(probeBody, &er); err != nil || er.RetryAfterMS <= 0 {
-		t.Fatalf("429 body %s should carry retry_after_ms", probeBody)
+	if err := json.Unmarshal(shed, &er); err != nil || er.RetryAfterMS <= 0 {
+		t.Fatalf("429 body %s should carry retry_after_ms", shed)
 	}
 
-	// Release the runner; the three held requests must all complete.
-	close(unblock)
-	for i := 0; i < 3; i++ {
-		select {
-		case resp := <-results:
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("held request finished with %d", resp.StatusCode)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("held request %d never completed after release", i)
-		}
+	<-s.slots
+	want, err := EvaluateLocal(req)
+	if err != nil {
+		t.Fatalf("EvaluateLocal: %v", err)
+	}
+	code, got := post(t, ts.URL+"/v1/evaluate", req)
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("after a slot freed: status %d, body %s; want 200 and %s", code, got, want)
 	}
 }
 
@@ -333,6 +253,9 @@ func TestOptimizeTamperedToken(t *testing.T) {
 		"flipped":   tok[:len(tok)/2] + flip(tok[len(tok)/2]) + tok[len(tok)/2+1:],
 		"truncated": tok[:len(tok)-8],
 		"garbage":   "not-a-token",
+		// Longer than the evaluate body bound: optimize must still
+		// read it, since real tokens run to megabytes.
+		"oversized": strings.Repeat("A", maxRequestBytes),
 	} {
 		code, body := post(t, ts.URL+"/v1/optimize", OptimizeRequest{Session: bad})
 		if code != http.StatusBadRequest {
@@ -395,6 +318,7 @@ func TestEvaluateErrors(t *testing.T) {
 		{"unserved nw", EvaluateRequest{NW: 5, Genome: g}, http.StatusNotFound},
 		{"unserved backend", EvaluateRequest{Backend: "crossbar", NW: 8, Genome: g}, http.StatusNotFound},
 		{"unknown field", map[string]any{"nw": 8, "genom": g}, http.StatusBadRequest},
+		{"oversized body", EvaluateRequest{NW: 8, Genome: strings.Repeat("1", maxRequestBytes)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		code, body := post(t, ts.URL+"/v1/evaluate", tc.req)
